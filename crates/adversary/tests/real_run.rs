@@ -9,7 +9,7 @@ use anon_core::anonymity;
 use anon_core::mix::MixStrategy;
 use anon_core::observe::ObservedRun;
 use anon_core::protocols::runner::{
-    run_recovery_experiment_observed, RecoveryConfig, RecoveryParams,
+    run_recovery_experiment_traced, RecoveryConfig, RecoveryParams,
 };
 use anon_core::protocols::ProtocolKind;
 use anon_core::sim::WorldConfig;
@@ -48,7 +48,7 @@ fn simulate(seed: u64) -> ObservedRun {
         msg_bytes: 1024,
         messages: 30,
     };
-    let (_, _, obs) = run_recovery_experiment_observed(&cfg, None, true);
+    let (_, _, obs) = run_recovery_experiment_traced(&cfg, None, true);
     obs.expect("observation requested")
 }
 

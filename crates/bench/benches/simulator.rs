@@ -190,7 +190,7 @@ fn bench_runner(c: &mut Criterion) {
     use anon_core::protocols::runner::{run_setup_experiment_traced, SetupConfig};
     use anon_core::protocols::ProtocolKind;
     use experiments::experiments::Scale;
-    use experiments::{run_all, RunSpec};
+    use experiments::{run_all, RunOutput, RunSpec};
 
     // Shard a small multi-seed setup sweep across the pool: the same job
     // list at 1 thread vs all cores measures the runner's speedup (and its
@@ -215,7 +215,7 @@ fn bench_runner(c: &mut Criterion) {
         };
         let (metrics, stats) = run_setup_experiment_traced(&cfg);
         let pct = metrics.setup_success_rate() * 100.0;
-        (pct, stats, vec![("setup_success_pct".to_string(), pct)])
+        RunOutput::new(pct, stats, vec![("setup_success_pct".to_string(), pct)])
     };
 
     let mut g = c.benchmark_group("runner");

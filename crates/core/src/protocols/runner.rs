@@ -472,47 +472,33 @@ const BLAME_MEMORY: usize = 16;
 
 /// Run the recovery experiment.
 pub fn run_recovery_experiment(cfg: &RecoveryConfig) -> RecoveryResult {
-    run_recovery_experiment_traced(cfg).0
+    run_recovery_experiment_traced(cfg, None, false).0
 }
 
-/// [`run_recovery_experiment`] plus per-run execution statistics.
+/// [`run_recovery_experiment`] plus per-run execution statistics, with
+/// optional live telemetry and the optional adversary observation tap.
 ///
 /// Hybrid of the two fidelity layers: the trajectory-level [`World`]
 /// supplies membership, (stale) gossip, biased mix choice and §4.5
 /// localization against ground truth, while the message-level
 /// [`crate::driver::Driver`] actually carries every onion, ack and
 /// teardown over the event engine with the fault plan applied per link.
-pub fn run_recovery_experiment_traced(cfg: &RecoveryConfig) -> (RecoveryResult, RunStats) {
-    run_recovery_experiment_instrumented(cfg, None)
-}
-
-/// [`run_recovery_experiment_traced`] with optional live telemetry.
 ///
 /// When `registry` is `Some`, the driver's engine and wire path record
 /// into it (`sim_*`, `core_*` instruments — see [`crate::instrument`]
 /// and [`simnet::instrument`]) and erasure decode outcomes are counted.
-/// Telemetry is write-only, so the returned result and statistics are
-/// bit-identical to the uninstrumented run — the experiments crate's
-/// determinism suite pins this.
-pub fn run_recovery_experiment_instrumented(
-    cfg: &RecoveryConfig,
-    registry: Option<&telemetry::Registry>,
-) -> (RecoveryResult, RunStats) {
-    let (res, stats, _) = run_recovery_experiment_observed(cfg, registry, false);
-    (res, stats)
-}
-
-/// [`run_recovery_experiment_instrumented`] with the adversary
-/// observation tap optionally attached.
 ///
 /// With `observe = true` the driver records every link crossing and path
 /// registration into an [`crate::observe::ObservationLog`], and the
 /// runner collects per-flow ground truth ([`crate::observe::FlowTruth`]);
-/// both come back in the returned [`crate::observe::ObservedRun`] for the `adversary`
-/// crate to assess. The tap is record-only (see [`crate::observe`]), so
-/// `observe = false` vs `true` yields bit-identical results and
-/// statistics — the same proof obligation telemetry carries.
-pub fn run_recovery_experiment_observed(
+/// both come back in the returned [`crate::observe::ObservedRun`] for the
+/// `adversary` crate to assess.
+///
+/// Telemetry and the tap are both write-only, so the result and the
+/// statistics are bit-identical whatever `registry` and `observe` are —
+/// the experiments crate's determinism suite and this module's tests pin
+/// it.
+pub fn run_recovery_experiment_traced(
     cfg: &RecoveryConfig,
     registry: Option<&telemetry::Registry>,
     observe: bool,
@@ -1225,7 +1211,7 @@ mod tests {
     #[test]
     fn recovery_run_produces_coherent_metrics() {
         let cfg = recovery_cfg(ProtocolKind::SimEra { k: 4, r: 2 }, moderate_faults(), 11);
-        let (res, stats) = run_recovery_experiment_traced(&cfg);
+        let (res, stats, _) = run_recovery_experiment_traced(&cfg, None, false);
         assert_eq!(res.metrics.messages_sent, cfg.messages as u64);
         assert_eq!(
             res.metrics.messages_delivered, res.delivered,
@@ -1248,8 +1234,8 @@ mod tests {
         // the result or the statistics (the inertness proof obligation),
         // while the returned ObservedRun carries usable ground truth.
         let cfg = recovery_cfg(ProtocolKind::SimEra { k: 4, r: 2 }, moderate_faults(), 11);
-        let (a, sa) = run_recovery_experiment_traced(&cfg);
-        let (b, sb, obs) = run_recovery_experiment_observed(&cfg, None, true);
+        let (a, sa, _) = run_recovery_experiment_traced(&cfg, None, false);
+        let (b, sb, obs) = run_recovery_experiment_traced(&cfg, None, true);
         assert_eq!(sa, sb, "the tap must be event-for-event inert");
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.partial, b.partial);
@@ -1273,15 +1259,15 @@ mod tests {
             assert_eq!(f.sent_at.len(), f.last_relays.len());
         }
         // The unobserved variant returns no log.
-        let (_, _, none) = run_recovery_experiment_observed(&cfg, None, false);
+        let (_, _, none) = run_recovery_experiment_traced(&cfg, None, false);
         assert!(none.is_none());
     }
 
     #[test]
     fn recovery_run_is_deterministic() {
         let cfg = recovery_cfg(ProtocolKind::SimRep { k: 2 }, moderate_faults(), 12);
-        let (a, sa) = run_recovery_experiment_traced(&cfg);
-        let (b, sb) = run_recovery_experiment_traced(&cfg);
+        let (a, sa, _) = run_recovery_experiment_traced(&cfg, None, false);
+        let (b, sb, _) = run_recovery_experiment_traced(&cfg, None, false);
         assert_eq!(sa, sb, "identical configs must replay event-for-event");
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.partial, b.partial);
@@ -1322,7 +1308,7 @@ mod tests {
         let mut cfg = recovery_cfg(ProtocolKind::CurMix, FaultConfig::NONE, 14);
         cfg.world.lifetime = LifetimeDistribution::pareto_with_median(1_000_000.0);
         cfg.world.downtime = LifetimeDistribution::pareto_with_median(1.0);
-        let (res, stats) = run_recovery_experiment_traced(&cfg);
+        let (res, stats, _) = run_recovery_experiment_traced(&cfg, None, false);
         assert_eq!(res.delivered, res.metrics.messages_sent);
         assert_eq!(res.retransmits, 0);
         assert_eq!(stats.fault_drops, 0);

@@ -3,7 +3,7 @@
 //! under biased mix choice.
 //!
 //! ```text
-//! attack [--seed S] [--trials N]
+//! attack [--seed S] [--trials N] [--threads N]
 //! ```
 //!
 //! `--seed` moves the world seed (default 31); `--trials` overrides the
@@ -13,9 +13,10 @@
 use anon_core::anonymity;
 use anon_core::attack::{run_attack_experiment, staying_adversary_advantage, AttackConfig};
 use anon_core::mix::MixStrategy;
+use anon_core::protocols::runner::RunStats;
 use anon_core::sim::WorldConfig;
 use experiments::experiments::Scale;
-use experiments::{default_threads, par_map, resolve_flag, Table};
+use experiments::{resolve_flag, resolve_threads, run_all, RunOutput, RunSpec, Table};
 
 fn main() {
     let scale = Scale::from_env();
@@ -33,8 +34,16 @@ fn main() {
     println!("adversary measurement — n = {n}, {events} constructions per point, seed {seed}\n");
 
     // ---- Part 1: empirical Eq. 4 (random choice, churning adversary) ----
-    let fs = [0.1f64, 0.2, 0.3, 0.4, 0.5];
-    let rows = par_map(fs.to_vec(), default_threads(), |f| {
+    let jobs: Vec<RunSpec<f64>> = [0.1f64, 0.2, 0.3, 0.4, 0.5]
+        .into_iter()
+        .map(|f| RunSpec {
+            label: format!("f={f}"),
+            seed,
+            payload: f,
+        })
+        .collect();
+    let (rows, _) = run_all("attack", jobs, resolve_threads(), |spec| {
+        let f = spec.payload;
         let res = run_attack_experiment(
             world.clone(),
             MixStrategy::Random,
@@ -46,7 +55,7 @@ fn main() {
             events,
             warmup,
         );
-        (f, res)
+        RunOutput::new((f, res), RunStats::default(), Vec::new())
     });
     let mut table = Table::new(
         "empirical first-relay compromise vs Eq. 4 (random choice)",

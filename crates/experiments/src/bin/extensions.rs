@@ -12,7 +12,7 @@ use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{run_performance_experiment_traced, PerfConfig};
 use anon_core::protocols::ProtocolKind;
 use experiments::experiments::Scale;
-use experiments::{resolve_threads, run_all, RunSpec, Table};
+use experiments::{resolve_threads, run_all, RunOutput, RunSpec, Table};
 
 fn weighted_allocation_study() {
     println!("extension 1 — weighted segment allocation (paper §7 future work)\n");
@@ -88,7 +88,7 @@ fn horizon_bias_study(scale: Scale, threads: usize) {
             ("attempts_per_episode".into(), attempts),
             ("delivery_rate".into(), res.metrics.delivery_rate()),
         ];
-        ((attempts, res.metrics), stats, values)
+        RunOutput::new((attempts, res.metrics), stats, values)
     });
 
     let mut table = Table::new(

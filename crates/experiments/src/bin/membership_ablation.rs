@@ -10,7 +10,7 @@ use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{run_setup_experiment_traced, SetupConfig};
 use anon_core::protocols::ProtocolKind;
 use experiments::experiments::Scale;
-use experiments::{resolve_threads, run_all, RunSpec, Table};
+use experiments::{resolve_threads, run_all, RunOutput, RunSpec, Table};
 use membership::{GossipConfig, MembershipConfig, OneHopConfig};
 use simnet::SimDuration;
 
@@ -80,7 +80,7 @@ fn main() {
         };
         let (metrics, stats) = run_setup_experiment_traced(&cfg);
         let pct = metrics.setup_success_rate() * 100.0;
-        (pct, stats, vec![("setup_success_pct".into(), pct)])
+        RunOutput::new(pct, stats, vec![("setup_success_pct".into(), pct)])
     });
 
     let mut table = Table::new(

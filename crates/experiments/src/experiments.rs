@@ -5,16 +5,15 @@
 //! runs are reproducible; "quick" variants shrink the workload for smoke
 //! tests and Criterion.
 
-use crate::runner::{run_all, run_all_instrumented, RunSpec, Traced};
+use crate::runner::{run_all, RunOutput, RunSpec, Traced};
 use crate::telemetry_enabled;
 use anon_core::allocation::{self, BandwidthModel};
 use anon_core::anonymity;
 use anon_core::metrics::ProtocolMetrics;
 use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{
-    run_performance_experiment_traced, run_recovery_experiment_instrumented,
-    run_recovery_experiment_observed, run_setup_experiment_traced, PerfConfig, RecoveryConfig,
-    RecoveryParams, SetupConfig,
+    run_performance_experiment_traced, run_recovery_experiment_traced, run_setup_experiment_traced,
+    PerfConfig, RecoveryConfig, RecoveryParams, SetupConfig,
 };
 use anon_core::protocols::ProtocolKind;
 use anon_core::sim::WorldConfig;
@@ -271,7 +270,7 @@ pub fn tab1_data(scale: Scale, threads: usize) -> Traced<Vec<SetupRow>> {
                 metrics.construction_attempts as f64,
             ),
         ];
-        (metrics, stats, values)
+        RunOutput::new(metrics, stats, values)
     });
     let data = protocols
         .iter()
@@ -334,7 +333,7 @@ pub fn fig5_data(strategy: MixStrategy, scale: Scale, threads: usize) -> Traced<
     let (results, traces) = run_all(experiment, jobs, threads, |spec| {
         let (metrics, stats) = run_setup_experiment_traced(&spec.payload);
         let pct = metrics.setup_success_rate() * 100.0;
-        (pct, stats, vec![("setup_success_pct".to_string(), pct)])
+        RunOutput::new(pct, stats, vec![("setup_success_pct".to_string(), pct)])
     });
     let data = grid
         .into_iter()
@@ -408,7 +407,7 @@ fn perf_table(
             ("bandwidth_kb".to_string(), res.metrics.bandwidth_kb.mean()),
             ("delivery_rate".to_string(), res.metrics.delivery_rate()),
         ];
-        ((res.attempts_per_episode(), res.metrics), stats, values)
+        RunOutput::new((res.attempts_per_episode(), res.metrics), stats, values)
     });
 
     // Slice the flat results back into (row, strategy) groups of one seed
@@ -649,12 +648,13 @@ pub fn recovery_data(scale: Scale, threads: usize) -> Traced<Vec<RecoveryRow>> {
         })
         .collect();
 
-    let (results, traces) = run_all_instrumented("recovery", jobs, threads, |spec| {
+    let (results, traces) = run_all("recovery", jobs, threads, |spec| {
         // Per-run registry (when enabled) so snapshots stay attributable to
         // one seed; the runner stores each on its RunTrace and TraceSet can
         // merge them. Telemetry is write-only, so results are unchanged.
         let registry = telemetry_enabled().then(telemetry::Registry::new);
-        let (res, stats) = run_recovery_experiment_instrumented(&spec.payload, registry.as_ref());
+        let (res, stats, _) =
+            run_recovery_experiment_traced(&spec.payload, registry.as_ref(), false);
         let partial_rate = if res.metrics.messages_sent == 0 {
             0.0
         } else {
@@ -668,8 +668,8 @@ pub fn recovery_data(scale: Scale, threads: usize) -> Traced<Vec<RecoveryRow>> {
             ("paths_rebuilt".to_string(), res.paths_rebuilt as f64),
             ("fault_drops".to_string(), stats.fault_drops as f64),
         ];
-        (
-            (
+        RunOutput {
+            result: (
                 res.delivery_rate(),
                 partial_rate,
                 res.metrics.latency_ms.mean(),
@@ -679,8 +679,8 @@ pub fn recovery_data(scale: Scale, threads: usize) -> Traced<Vec<RecoveryRow>> {
             ),
             stats,
             values,
-            registry.map(|r| r.snapshot()),
-        )
+            telemetry: registry.map(|r| r.snapshot()),
+        }
     });
 
     let s = seeds.len();
@@ -866,7 +866,7 @@ pub fn trilemma_data(scale: Scale, threads: usize) -> Traced<Vec<TrilemmaRow>> {
     const INFILTRATION_DRAWS: u64 = 32;
 
     let (results, traces) = run_all("trilemma", jobs, threads, |spec| {
-        let (res, stats, obs) = run_recovery_experiment_observed(&spec.payload, None, true);
+        let (res, stats, obs) = run_recovery_experiment_traced(&spec.payload, None, true);
         let run = obs.expect("observation requested");
         let mut cells: Vec<Cell> = Vec::with_capacity(fracs.len() * covers.len());
         for &f in &fracs {
@@ -912,7 +912,7 @@ pub fn trilemma_data(scale: Scale, threads: usize) -> Traced<Vec<TrilemmaRow>> {
             ("entropy_f0_c0".to_string(), cells[0].0),
             ("auc_f0_c0".to_string(), cells[0].3),
         ];
-        (
+        RunOutput::new(
             (
                 cells,
                 res.delivery_rate(),

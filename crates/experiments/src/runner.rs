@@ -88,11 +88,37 @@ pub struct Traced<T> {
     pub traces: TraceSet,
 }
 
+/// What one run hands back to [`run_all`]: its result plus the pieces
+/// of its [`RunTrace`].
+#[derive(Clone, Debug)]
+pub struct RunOutput<R> {
+    /// The experiment's per-run result, returned in job order.
+    pub result: R,
+    /// Engine/timeline counters and traversal totals.
+    pub stats: RunStats,
+    /// Named metric values.
+    pub values: Vec<(String, f64)>,
+    /// Per-run telemetry snapshot (typically of a registry created
+    /// inside the run). It rides along to the trace; it never steers.
+    pub telemetry: Option<telemetry::Snapshot>,
+}
+
+impl<R> RunOutput<R> {
+    /// An uninstrumented run's output.
+    pub fn new(result: R, stats: RunStats, values: Vec<(String, f64)>) -> Self {
+        RunOutput {
+            result,
+            stats,
+            values,
+            telemetry: None,
+        }
+    }
+}
+
 /// Execute `jobs`, sharded across `threads` workers.
 ///
-/// `f` maps a job to `(result, stats, values)`; results and traces come
-/// back in job order regardless of thread count. Panics in a worker
-/// propagate to the caller.
+/// Results and traces come back in job order regardless of thread
+/// count. A panic in a worker propagates to the caller.
 pub fn run_all<T, R, F>(
     experiment: &str,
     jobs: Vec<RunSpec<T>>,
@@ -100,45 +126,23 @@ pub fn run_all<T, R, F>(
     f: F,
 ) -> (Vec<R>, TraceSet)
 where
-    T: Send + Sync,
+    T: Sync,
     R: Send,
-    F: Fn(&RunSpec<T>) -> (R, RunStats, Vec<(String, f64)>) + Sync,
-{
-    run_all_instrumented(experiment, jobs, threads, |spec| {
-        let (r, stats, values) = f(spec);
-        (r, stats, values, None)
-    })
-}
-
-/// [`run_all`] for instrumented runs: `f` additionally returns an
-/// optional per-run [`telemetry::Snapshot`] (typically of a registry
-/// created inside the run), attached to the run's [`RunTrace`]. The
-/// scheduling, ordering and determinism guarantees are identical to
-/// [`run_all`] — snapshots ride along, they never steer.
-pub fn run_all_instrumented<T, R, F>(
-    experiment: &str,
-    jobs: Vec<RunSpec<T>>,
-    threads: usize,
-    f: F,
-) -> (Vec<R>, TraceSet)
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&RunSpec<T>) -> (R, RunStats, Vec<(String, f64)>, Option<telemetry::Snapshot>) + Sync,
+    F: Fn(&RunSpec<T>) -> RunOutput<R> + Sync,
 {
     let threads = threads.max(1).min(jobs.len().max(1));
     let run_one = |spec: &RunSpec<T>| -> (R, RunTrace) {
         let start = Instant::now();
-        let (result, stats, values, telemetry) = f(spec);
+        let out = f(spec);
         let trace = RunTrace {
             label: spec.label.clone(),
             seed: spec.seed,
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            stats,
-            values,
-            telemetry,
+            stats: out.stats,
+            values: out.values,
+            telemetry: out.telemetry,
         };
-        (result, trace)
+        (out.result, trace)
     };
 
     let n = jobs.len();
@@ -155,20 +159,19 @@ where
     } else {
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, R, RunTrace)>();
-        crossbeam::scope(|s| {
+        // A panicking worker drops its sender, so the collector loop
+        // still ends; the scope then re-raises the panic on this thread.
+        std::thread::scope(|s| {
             for _ in 0..threads {
                 let tx = tx.clone();
-                s.spawn(|| {
-                    // Move this worker's sender in; claim jobs until drained.
-                    let tx = tx;
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let (r, t) = run_one(&jobs[idx]);
-                        tx.send((idx, r, t)).expect("collector alive");
+                let (next, jobs, run_one) = (&next, &jobs, &run_one);
+                s.spawn(move || loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n {
+                        break;
                     }
+                    let (r, t) = run_one(&jobs[idx]);
+                    tx.send((idx, r, t)).expect("collector alive");
                 });
             }
             drop(tx);
@@ -178,8 +181,7 @@ where
                 results[idx] = Some(r);
                 traces[idx] = Some(t);
             }
-        })
-        .expect("experiment worker panicked");
+        });
     }
 
     let results = results
@@ -481,29 +483,24 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Resolve the worker-thread count: `--threads N` (or `--threads=N`) on
-/// the command line beats `P2P_ANON_THREADS`, which beats the legacy
-/// `EXPERIMENT_THREADS`, which beats the machine's available parallelism.
+/// Resolve the worker-thread count: `--threads N` (or `--threads=N`)
+/// beats `P2P_ANON_THREADS`, which beats the machine's available
+/// parallelism. Unparsable values fall through to the next source; zero
+/// becomes one.
 pub fn resolve_threads() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    crate::default_threads()
+    resolve_flag::<usize>("--threads")
+        .or_else(|| std::env::var("P2P_ANON_THREADS").ok()?.parse().ok())
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+        .max(1)
 }
 
 /// Resolve one `--name N` / `--name=N` CLI flag to a parsed value, or
 /// `None` when absent or unparsable. The shared idiom behind the
-/// binaries' `--seed` / `--trials` knobs (same shape as
-/// [`resolve_threads`], which keeps its environment-variable fallback).
+/// binaries' `--threads` / `--seed` / `--trials` knobs.
 pub fn resolve_flag<T: std::str::FromStr>(name: &str) -> Option<T> {
     let prefix = format!("{name}=");
     let mut args = std::env::args().skip(1);
@@ -525,13 +522,13 @@ pub fn resolve_flag<T: std::str::FromStr>(name: &str) -> Option<T> {
 mod tests {
     use super::*;
 
-    fn spin(spec: &RunSpec<u64>) -> (u64, RunStats, Vec<(String, f64)>) {
+    fn spin(spec: &RunSpec<u64>) -> RunOutput<u64> {
         // Deterministic busy-work whose result depends only on the spec.
         let mut acc = spec.seed.wrapping_mul(spec.payload | 1);
         for _ in 0..2_000 {
             acc = acc.rotate_left(7) ^ 0x9E37_79B9;
         }
-        (
+        RunOutput::new(
             acc,
             RunStats::default(),
             vec![("acc_low".into(), (acc % 1000) as f64)],
@@ -553,6 +550,15 @@ mod tests {
         let (seq, _) = run_all("t", jobs(32), 1, spin);
         let (par, _) = run_all("t", jobs(32), 4, spin);
         assert_eq!(seq, par, "thread count must not change results or order");
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panic_propagates_to_caller() {
+        run_all("t", jobs(16), 4, |spec| {
+            assert_ne!(spec.seed, 7, "job 7 fails");
+            spin(spec)
+        });
     }
 
     #[test]

@@ -6,14 +6,12 @@
 //! experiment bins, so matrix runs inherit the `P2P_ANON_THREADS`
 //! sharding guarantee: results are byte-identical at any thread count.
 
-use crate::runner::{run_all, RunSpec, TraceSet};
+use crate::runner::{run_all, RunOutput, RunSpec, TraceSet};
 use adversary::colluding::{ColludingRelays, Fused};
 use adversary::timing::TimingEavesdropper;
 use adversary::{Adversary, Assessment};
 use anon_core::observe::ObservedRun;
-use anon_core::protocols::runner::{
-    run_recovery_experiment_observed, run_recovery_experiment_traced,
-};
+use anon_core::protocols::runner::run_recovery_experiment_traced;
 use scenario::{
     check_snapshot, render_snapshot, AdversaryKind, AdversaryReading, AdversarySpec, JobResult,
     Scenario, ScenarioJob, SnapshotOutcome,
@@ -66,23 +64,17 @@ pub fn run_scenario(sc: &Scenario, threads: usize) -> (Vec<JobResult>, TraceSet)
         // Only record observations when an adversary will consume them;
         // the tap is byte-inert either way (observe.rs inertness tests),
         // so both paths produce identical metrics.
-        let (res, stats, assessment) = match &sc.adversary {
-            None => {
-                let (res, stats) = run_recovery_experiment_traced(&job.cfg);
-                (res, stats, None)
+        let (res, stats, observed) =
+            run_recovery_experiment_traced(&job.cfg, None, sc.adversary.is_some());
+        let assessment = sc.adversary.as_ref().map(|adv| {
+            let run = observed.expect("observation requested");
+            let a = assess(adv, job.seed, &run);
+            AdversaryReading {
+                shannon_bits: a.shannon_entropy_bits,
+                p_identified: a.p_identified,
+                linkability_auc: a.linkability_auc,
             }
-            Some(adv) => {
-                let (res, stats, observed) = run_recovery_experiment_observed(&job.cfg, None, true);
-                let run = observed.expect("observation requested");
-                let a = assess(adv, job.seed, &run);
-                let reading = AdversaryReading {
-                    shannon_bits: a.shannon_entropy_bits,
-                    p_identified: a.p_identified,
-                    linkability_auc: a.linkability_auc,
-                };
-                (res, stats, Some(reading))
-            }
-        };
+        });
         let result = JobResult {
             label: job.label.clone(),
             seed: job.seed,
@@ -107,7 +99,7 @@ pub fn run_scenario(sc: &Scenario, threads: usize) -> (Vec<JobResult>, TraceSet)
             ("fault_drops".to_string(), result.fault_drops as f64),
             ("cover_overhead".to_string(), result.cover_overhead),
         ];
-        (result, stats, values)
+        RunOutput::new(result, stats, values)
     })
 }
 

@@ -11,12 +11,12 @@
 
 use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{
-    run_performance_experiment_traced, run_recovery_experiment_instrumented,
-    run_setup_experiment_traced, PerfConfig, RecoveryConfig, RecoveryParams, SetupConfig,
+    run_performance_experiment_traced, run_recovery_experiment_traced, run_setup_experiment_traced,
+    PerfConfig, RecoveryConfig, RecoveryParams, SetupConfig,
 };
 use anon_core::protocols::ProtocolKind;
 use anon_core::sim::WorldConfig;
-use experiments::{run_all, RunSpec, TraceSet};
+use experiments::{run_all, RunOutput, RunSpec, TraceSet};
 use simnet::{FaultConfig, SimDuration, SimTime};
 
 fn tiny_world(seed: u64) -> WorldConfig {
@@ -103,7 +103,7 @@ fn sweep(threads: usize) -> (Vec<f64>, TraceSet) {
     run_all("determinism_test", jobs, threads, |spec| {
         let (metrics, stats) = run_setup_experiment_traced(&setup_cfg(spec.seed, spec.payload));
         let pct = metrics.setup_success_rate() * 100.0;
-        (pct, stats, vec![("setup_success_pct".into(), pct)])
+        RunOutput::new(pct, stats, vec![("setup_success_pct".into(), pct)])
     })
 }
 
@@ -174,9 +174,9 @@ fn recovery_cfg(seed: u64) -> RecoveryConfig {
 fn telemetry_on_and_off_produce_identical_runs() {
     for seed in [3u64, 17] {
         let registry = telemetry::Registry::new();
-        let (on, stats_on) =
-            run_recovery_experiment_instrumented(&recovery_cfg(seed), Some(&registry));
-        let (off, stats_off) = run_recovery_experiment_instrumented(&recovery_cfg(seed), None);
+        let (on, stats_on, _) =
+            run_recovery_experiment_traced(&recovery_cfg(seed), Some(&registry), false);
+        let (off, stats_off, _) = run_recovery_experiment_traced(&recovery_cfg(seed), None, false);
 
         assert_eq!(
             stats_on, stats_off,

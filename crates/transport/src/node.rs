@@ -115,7 +115,8 @@ pub struct ProtocolNode {
     /// Initiator-side plans keyed by path stream id, for peeling reverse
     /// onions (mirrors the driver's `register_path`).
     plans: HashMap<StreamId, PathPlan>,
-    /// Outgoing messages kept for erasure-aware retransmission.
+    /// Outgoing messages kept for erasure-aware retransmission, until
+    /// every segment is acked.
     outbox: HashMap<MessageId, Vec<u8>>,
     /// Segments acked so far, per message.
     acked: HashMap<MessageId, HashSet<usize>>,
@@ -532,6 +533,10 @@ impl ProtocolNode {
                                 }
                             }
                             self.acked.entry(mid).or_default().insert(index);
+                            if self.message_complete(mid) {
+                                // Nothing left to retransmit: free the bytes.
+                                self.outbox.remove(&mid);
+                            }
                             self.events.acks.push((mid, index, now_us));
                             if let Some(t) = &self.telemetry {
                                 t.acks.inc();
@@ -661,5 +666,68 @@ impl ProtocolNode {
             },
         });
         self.arm_ack_timer(mid, index, retry, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use erasure::ErasureCodec;
+    use std::collections::VecDeque;
+
+    /// Deliver `out` (emitted by `from`) and every frame it triggers
+    /// among `nodes` until the network is quiet. Timers never fire.
+    fn pump(nodes: &mut [ProtocolNode], from: NodeId, out: Vec<Output>) {
+        let mut queue: VecDeque<(NodeId, Output)> = out.into_iter().map(|o| (from, o)).collect();
+        while let Some((src, o)) = queue.pop_front() {
+            if let Output::Send { to, frame } = o {
+                let mut next = Vec::new();
+                nodes[to.0 as usize].handle(0, Input::Frame { from: src, frame }, &mut next);
+                queue.extend(next.into_iter().map(|o| (to, o)));
+            }
+        }
+    }
+
+    #[test]
+    fn completed_message_leaves_the_outbox() {
+        let mut keyrng = StdRng::seed_from_u64(5);
+        let mut node =
+            |i: u32| ProtocolNode::new(NodeId(i), KeyPair::generate(&mut keyrng), u64::from(i));
+        let mut nodes = vec![
+            node(0).with_codec(Box::new(ErasureCodec::new(2, 3).unwrap())),
+            node(1),
+            node(2).with_auto_ack(),
+        ];
+        let hops: Vec<_> = [1u32, 2]
+            .iter()
+            .map(|&i| (NodeId(i), nodes[i as usize].public_key()))
+            .collect();
+
+        let mut out = Vec::new();
+        nodes[0].construct_paths(&[hops], &mut out);
+        pump(&mut nodes, NodeId(0), out);
+        assert_eq!(nodes[0].established_paths(), 1);
+
+        let mid = MessageId(7);
+        let mut out = Vec::new();
+        nodes[0].send_message(mid, &[0xAB; 300], &mut out).unwrap();
+        assert!(nodes[0].outbox.contains_key(&mid), "kept until acked");
+        let timers: Vec<u64> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::SetTimer { token, .. } => Some(*token),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(timers.len(), 3, "one ack deadline per segment");
+        pump(&mut nodes, NodeId(0), out);
+        assert!(nodes[0].message_complete(mid));
+        assert!(!nodes[0].outbox.contains_key(&mid), "freed once acked");
+
+        // A deadline that fires late for an acked segment sends nothing.
+        let mut late = Vec::new();
+        nodes[0].handle(0, Input::Timer { token: timers[0] }, &mut late);
+        assert!(late.is_empty(), "{late:?}");
+        assert_eq!(nodes[0].events.retransmits, 0);
     }
 }
