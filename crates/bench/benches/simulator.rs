@@ -5,10 +5,7 @@
 use bench::bench_rng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use membership::{GossipConfig, GossipSim};
-use simnet::{
-    ChurnSchedule, Engine, EngineTelemetry, LatencyMatrix, LifetimeDistribution, SimDuration,
-    SimTime,
-};
+use simnet::{ChurnSchedule, Engine, LatencyMatrix, LifetimeDistribution, SimDuration, SimTime};
 use std::hint::black_box;
 
 fn bench_engine(c: &mut Criterion) {
@@ -34,42 +31,9 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// Telemetry overhead: the identical 100k-event engine workload with and
-/// without instruments attached. The engine publishes counter deltas at
-/// flush points rather than per event, so the two cases must be within
-/// noise of each other — the target is <3% even on this pure-dispatch
-/// worst case (tracked in PERFORMANCE.md). A third case prices the
-/// histogram record path the driver pays per instrumented send.
+/// The histogram record path the driver pays per instrumented send.
 fn bench_telemetry(c: &mut Criterion) {
     let mut g = c.benchmark_group("telemetry");
-    const EVENTS: usize = 100_000;
-
-    fn workload(engine: &mut Engine<u64>) -> u64 {
-        let mut world = 0u64;
-        for i in 0..EVENTS {
-            engine.schedule_at(SimTime((i as u64 * 7919) % 1_000_000), |w, _| *w += 1);
-        }
-        engine.run(&mut world);
-        world
-    }
-
-    g.throughput(Throughput::Elements(EVENTS as u64));
-    g.bench_function("engine_uninstrumented_100k", |b| {
-        b.iter(|| {
-            let mut engine: Engine<u64> = Engine::new();
-            black_box(workload(&mut engine))
-        })
-    });
-    g.bench_function("engine_instrumented_100k", |b| {
-        let registry = telemetry::Registry::new();
-        let instruments = EngineTelemetry::register(&registry);
-        b.iter(|| {
-            let mut engine: Engine<u64> = Engine::new();
-            engine.set_telemetry(instruments.clone());
-            black_box(workload(&mut engine))
-        })
-    });
-
     g.throughput(Throughput::Elements(1));
     g.bench_function("histogram_record", |b| {
         let registry = telemetry::Registry::new();

@@ -200,14 +200,12 @@ impl Driver {
         }
     }
 
-    /// Attach live telemetry from a shared registry: engine instruments
-    /// ([`simnet::instrument::EngineTelemetry`]) plus driver instruments
-    /// ([`crate::instrument::DriverTelemetry`]). Telemetry is
-    /// write-only, so the run's trajectory is identical with or without
-    /// this call.
+    /// Attach the driver's instruments
+    /// ([`crate::instrument::DriverTelemetry`]) from a shared registry.
+    /// Telemetry is write-only, so the run's trajectory is identical
+    /// with or without this call. Event counts are not mirrored here:
+    /// [`Engine::counters`](simnet::Engine::counters) holds them.
     pub fn attach_telemetry(&mut self, registry: &telemetry::Registry) {
-        self.engine
-            .set_telemetry(simnet::EngineTelemetry::register(registry));
         self.world.telemetry = Some(DriverTelemetry::register(registry));
     }
 

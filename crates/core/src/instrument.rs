@@ -9,9 +9,8 @@
 //! only pre-resolved `Arc`s; with no telemetry attached every record
 //! site is a never-taken branch.
 //!
-//! Like the engine's instruments ([`simnet::instrument`]), everything
-//! here is write-only: no protocol decision ever reads a telemetry
-//! value, so attaching telemetry cannot change what a run does —
+//! Everything here is write-only: no protocol decision ever reads a
+//! telemetry value, so attaching telemetry cannot change what a run does —
 //! only what it reports. Evaluation numbers (delivery rates, §6.1
 //! latency summaries) stay in [`crate::metrics`]; this module is the
 //! operational view.
@@ -48,7 +47,10 @@ pub const LATENCY_GROUPING_POWER: u32 = 7;
 /// | `core_frames_total{wire=…}` | counter | frames encoded, by wire tag |
 /// | `core_frame_bytes_total{wire=…}` | counter | encoded frame bytes, by wire tag |
 /// | `core_erasure_decodes_total` | counter | messages that reached erasure decodability |
-/// | `core_erasure_decode_failures_total` | counter | messages that never did |
+/// | `core_erasure_decode_failures_total` | counter | messages launched that never did |
+///
+/// The driver records the first three; the recovery runner records the
+/// decode outcomes once per message.
 #[derive(Clone)]
 pub struct DriverTelemetry {
     /// One-way delay of each link crossing (µs).

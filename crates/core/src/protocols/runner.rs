@@ -60,6 +60,31 @@ pub struct RunStats {
     pub paths_rebuilt: u64,
 }
 
+impl RunStats {
+    /// Every counter with its name, in the run traces' column order.
+    pub fn fields(&self) -> [(&'static str, u64); 16] {
+        let e = &self.engine;
+        [
+            ("scheduled", e.scheduled),
+            ("processed", e.processed),
+            ("cancelled", e.cancelled),
+            ("max_pending", e.max_pending),
+            ("traversals", self.traversals),
+            ("links", self.links),
+            ("lost", self.lost),
+            ("stateless_drops", self.stateless_drops),
+            ("fault_drops", self.fault_drops),
+            ("crash_wipes", self.crash_wipes),
+            ("segments_sent", self.segments_sent),
+            ("retransmits", self.retransmits),
+            ("acks", self.acks),
+            ("ack_timeouts", self.ack_timeouts),
+            ("probes", self.probes),
+            ("paths_rebuilt", self.paths_rebuilt),
+        ]
+    }
+}
+
 /// Configuration of the setup-rate experiment (§6.2 "Path Construction").
 #[derive(Clone, Debug)]
 pub struct SetupConfig {
@@ -484,9 +509,10 @@ pub fn run_recovery_experiment(cfg: &RecoveryConfig) -> RecoveryResult {
 /// [`crate::driver::Driver`] actually carries every onion, ack and
 /// teardown over the event engine with the fault plan applied per link.
 ///
-/// When `registry` is `Some`, the driver's engine and wire path record
-/// into it (`sim_*`, `core_*` instruments — see [`crate::instrument`]
-/// and [`simnet::instrument`]) and erasure decode outcomes are counted.
+/// When `registry` is `Some`, the driver's wire path records into it
+/// and each message's erasure decode outcome is counted (the `core_*`
+/// instruments of [`crate::instrument`]). Event and loss counts live in
+/// the returned [`RunStats`] only.
 ///
 /// With `observe = true` the driver records every link crossing and path
 /// registration into an [`crate::observe::ObservationLog`], and the
@@ -561,12 +587,6 @@ pub fn run_recovery_experiment_traced(
     if let Some(reg) = registry {
         driver.attach_telemetry(reg);
     }
-    let decode_counters = registry.map(|reg| {
-        (
-            reg.counter("core_erasure_decodes_total", &[]),
-            reg.counter("core_erasure_decode_failures_total", &[]),
-        )
-    });
     let mut initiator = Initiator::new(initiator_id);
     let mut proto_rng = StdRng::seed_from_u64(cfg.world.seed ^ 0x9E37);
 
@@ -867,11 +887,11 @@ pub fn run_recovery_experiment_traced(
         }
         arrivals.sort_unstable();
         let ok = distinct.len() >= needed;
-        if let Some((decodes, failures)) = &decode_counters {
+        if let Some(tel) = &driver.world.telemetry {
             if ok {
-                decodes.inc();
+                tel.erasure_decodes.inc();
             } else {
-                failures.inc();
+                tel.erasure_decode_failures.inc();
             }
         }
         let latency = ok.then(|| arrivals[needed - 1] - send_t);

@@ -650,8 +650,8 @@ pub fn recovery_data(scale: Scale, threads: usize) -> Traced<Vec<RecoveryRow>> {
 
     let (results, traces) = run_all("recovery", jobs, threads, |spec| {
         // Per-run registry (when enabled) so snapshots stay attributable to
-        // one seed; the runner stores each on its RunTrace and TraceSet can
-        // merge them. Telemetry is write-only, so results are unchanged.
+        // one seed; the runner stores each on its RunTrace. Telemetry is
+        // write-only, so results are unchanged.
         let registry = telemetry_enabled().then(telemetry::Registry::new);
         let (res, stats, _) =
             run_recovery_experiment_traced(&spec.payload, registry.as_ref(), false);

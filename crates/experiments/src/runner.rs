@@ -210,23 +210,6 @@ impl TraceSet {
         self.traces.iter().map(|t| t.wall_ms).sum()
     }
 
-    /// All runs' telemetry snapshots folded into one (counters and
-    /// histograms add, gauges keep the high-water mark — see
-    /// [`telemetry::Snapshot::merge`]), or `None` when no run was
-    /// instrumented.
-    pub fn merged_telemetry(&self) -> Option<telemetry::Snapshot> {
-        let mut merged: Option<telemetry::Snapshot> = None;
-        for t in &self.traces {
-            if let Some(snap) = &t.telemetry {
-                match &mut merged {
-                    Some(m) => m.merge(snap),
-                    None => merged = Some(snap.clone()),
-                }
-            }
-        }
-        merged
-    }
-
     /// Aggregate every metric across the seeds of each label
     /// (first-appearance order, so output is deterministic).
     pub fn aggregate(&self) -> Vec<AggregateRow> {
@@ -263,7 +246,11 @@ impl TraceSet {
         let _ = writeln!(out, "  \"total_run_ms\": {:.3},", self.total_run_ms());
         let _ = writeln!(out, "  \"runs\": [");
         for (i, t) in self.traces.iter().enumerate() {
-            let e = &t.stats.engine;
+            let stats = t
+                .stats
+                .fields()
+                .map(|(k, v)| format!("{}: {v}", json_str(k)))
+                .join(", ");
             let values: Vec<String> = t
                 .values
                 .iter()
@@ -272,32 +259,11 @@ impl TraceSet {
             let _ = write!(
                 out,
                 "    {{\"label\": {}, \"seed\": {}, \"wall_ms\": {:.3}, \
-                 \"engine\": {{\"scheduled\": {}, \"processed\": {}, \"cancelled\": {}, \
-                 \"max_pending\": {}}}, \"traversals\": {}, \"links\": {}, \
-                 \"loss\": {{\"lost\": {}, \"stateless_drops\": {}, \"fault_drops\": {}, \
-                 \"crash_wipes\": {}}}, \
-                 \"recovery\": {{\"segments_sent\": {}, \"retransmits\": {}, \"acks\": {}, \
-                 \"ack_timeouts\": {}, \"probes\": {}, \"paths_rebuilt\": {}}}, \
-                 \"values\": {{{}}}",
+                 \"stats\": {{{}}}, \"values\": {{{}}}",
                 json_str(&t.label),
                 t.seed,
                 t.wall_ms,
-                e.scheduled,
-                e.processed,
-                e.cancelled,
-                e.max_pending,
-                t.stats.traversals,
-                t.stats.links,
-                t.stats.lost,
-                t.stats.stateless_drops,
-                t.stats.fault_drops,
-                t.stats.crash_wipes,
-                t.stats.segments_sent,
-                t.stats.retransmits,
-                t.stats.acks,
-                t.stats.ack_timeouts,
-                t.stats.probes,
-                t.stats.paths_rebuilt,
+                stats,
                 values.join(", "),
             );
             if let Some(snap) = &t.telemetry {
@@ -337,43 +303,21 @@ impl TraceSet {
         out
     }
 
-    /// Long-format CSV: one row per `(run, metric)` pair, engine counters
-    /// and loss/recovery accounting repeated per row.
+    /// Long-format CSV: one row per `(run, metric)` pair, the run's
+    /// [`RunStats::fields`] repeated per row.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "experiment,label,seed,wall_ms,scheduled,processed,cancelled,max_pending,\
-             traversals,links,lost,stateless_drops,fault_drops,crash_wipes,\
-             segments_sent,retransmits,acks,ack_timeouts,probes,paths_rebuilt,\
-             metric,value\n",
-        );
+        let names = RunStats::default().fields().map(|(name, _)| name).join(",");
+        let mut out = format!("experiment,label,seed,wall_ms,{names},metric,value\n");
         for t in &self.traces {
-            let e = &t.stats.engine;
+            let stats = t.stats.fields().map(|(_, v)| v.to_string()).join(",");
             for (metric, value) in &t.values {
                 let _ = writeln!(
                     out,
-                    "{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                    "{},{},{},{:.3},{stats},{metric},{value}",
                     self.experiment,
                     csv_field(&t.label),
                     t.seed,
                     t.wall_ms,
-                    e.scheduled,
-                    e.processed,
-                    e.cancelled,
-                    e.max_pending,
-                    t.stats.traversals,
-                    t.stats.links,
-                    t.stats.lost,
-                    t.stats.stateless_drops,
-                    t.stats.fault_drops,
-                    t.stats.crash_wipes,
-                    t.stats.segments_sent,
-                    t.stats.retransmits,
-                    t.stats.acks,
-                    t.stats.ack_timeouts,
-                    t.stats.probes,
-                    t.stats.paths_rebuilt,
-                    metric,
-                    value,
                 );
             }
         }
@@ -612,8 +556,12 @@ mod tests {
             csv.lines().nth(1).unwrap().split(',').count(),
             "every row must carry every column"
         );
-        assert!(json.contains("\"loss\""));
-        assert!(json.contains("\"recovery\""));
+        for (name, _) in RunStats::default().fields() {
+            assert!(
+                json.contains(&format!("\"{name}\": ")),
+                "stats field {name} missing"
+            );
+        }
         let agg_csv = set.aggregate_csv();
         assert_eq!(agg_csv.lines().count(), 1 + 3);
     }

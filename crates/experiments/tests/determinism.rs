@@ -193,13 +193,13 @@ fn telemetry_on_and_off_produce_identical_runs() {
         assert_eq!(on.metrics.latency_ms.mean(), off.metrics.latency_ms.mean());
         assert_eq!(on.retransmit_overhead(), off.retransmit_overhead());
 
-        // And the instrumented run actually observed the trajectory: its
-        // processed-event counter mirrors the engine's own bookkeeping.
+        // And the instrumented run actually observed the trajectory: one
+        // decode is counted per delivered message.
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counter_value("sim_events_processed_total", &[]),
-            stats_on.engine.processed,
-            "telemetry must mirror engine counters (seed {seed})"
+            snap.counter_value("core_erasure_decodes_total", &[]),
+            on.delivered,
+            "decode counter must match delivered messages (seed {seed})"
         );
         assert!(
             snap.counter_value("core_frames_total", &[("wire", "payload")]) > 0,

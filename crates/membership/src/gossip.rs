@@ -17,8 +17,6 @@ use crate::cache::NodeCache;
 use crate::liveness::LivenessInfo;
 use rand::Rng;
 use simnet::{ChurnSchedule, NodeId, SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Gossip protocol parameters.
 #[derive(Clone, Copy, Debug)]
@@ -47,10 +45,19 @@ impl Default for GossipConfig {
 }
 
 /// The gossip layer over a whole simulated network: one cache per node plus
-/// the round scheduler.
+/// the round schedule.
+///
+/// Node `i` gossips at `phase_i + lap × interval` with `phase_i` in
+/// `[0, interval)`, so rounds fire in `(phase, node)` order and that order
+/// repeats every lap: a sorted list and a cursor replace a priority queue.
 pub struct GossipSim {
     caches: Vec<NodeCache>,
-    rounds: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Every node's `(phase µs, node)`, sorted: one lap's round order.
+    phases: Vec<(u64, u32)>,
+    /// Index into `phases` of the next round.
+    cursor: usize,
+    /// Laps completed over `phases`.
+    lap: u64,
     cfg: GossipConfig,
     now: SimTime,
     messages_sent: u64,
@@ -65,14 +72,15 @@ impl GossipSim {
         let caches = (0..n)
             .map(|i| NodeCache::bootstrap((0..n).filter(|&j| j != i).map(NodeId::from)))
             .collect();
-        let mut rounds = BinaryHeap::with_capacity(n);
-        for i in 0..n {
-            let phase = SimDuration(rng.gen_range(0..cfg.interval.as_micros().max(1)));
-            rounds.push(Reverse((SimTime::ZERO + phase, i as u32)));
-        }
+        let mut phases: Vec<(u64, u32)> = (0..n as u32)
+            .map(|i| (rng.gen_range(0..cfg.interval.as_micros().max(1)), i))
+            .collect();
+        phases.sort_unstable();
         GossipSim {
             caches,
-            rounds,
+            phases,
+            cursor: 0,
+            lap: 0,
             cfg,
             now: SimTime::ZERO,
             messages_sent: 0,
@@ -109,14 +117,8 @@ impl GossipSim {
     /// Process all gossip rounds with timestamps `<= until` against the
     /// ground-truth churn schedule.
     pub fn advance<R: Rng>(&mut self, schedule: &ChurnSchedule, until: SimTime, rng: &mut R) {
-        while let Some(&Reverse((t, node_idx))) = self.rounds.peek() {
-            if t > until {
-                break;
-            }
-            self.rounds.pop();
-            self.rounds.push(Reverse((t + self.cfg.interval, node_idx)));
+        while let Some((t, sender)) = self.pop_round(until) {
             self.now = t;
-            let sender = NodeId(node_idx);
 
             // A node that is down neither gossips nor refreshes anything.
             let Some(sender_uptime) = schedule.uptime_at(sender, t) else {
@@ -153,6 +155,21 @@ impl GossipSim {
         if self.now < until {
             self.now = until;
         }
+    }
+
+    /// Take the next round if it is due at or before `until`.
+    fn pop_round(&mut self, until: SimTime) -> Option<(SimTime, NodeId)> {
+        let &(phase, node) = self.phases.get(self.cursor)?;
+        let t = SimTime(phase + self.lap * self.cfg.interval.as_micros());
+        if t > until {
+            return None;
+        }
+        self.cursor += 1;
+        if self.cursor == self.phases.len() {
+            self.cursor = 0;
+            self.lap += 1;
+        }
+        Some((t, NodeId(node)))
     }
 
     /// Sample up to `count` distinct cached peers of `sender`, uniformly
@@ -388,6 +405,45 @@ mod tests {
             (gossip.messages_sent(), gossip.messages_lost(), fingerprint)
         };
         assert_eq!(run(99), run(99));
+    }
+
+    #[test]
+    fn rounds_fire_in_reference_heap_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let n = 37;
+        // A 5 µs interval forces equal phases, which break ties by node.
+        for interval in [SimDuration(5), SimDuration::from_secs(10)] {
+            let iv = interval.as_micros();
+            let cfg = GossipConfig {
+                interval,
+                ..quick_cfg()
+            };
+            let mut gossip = GossipSim::new(n, cfg, &mut StdRng::seed_from_u64(8));
+            // Reference: one heap entry per node, from the same phase draws,
+            // re-pushed one interval later each time it fires.
+            let mut rng = StdRng::seed_from_u64(8);
+            let mut heap: BinaryHeap<Reverse<(SimTime, u32)>> = (0..n as u32)
+                .map(|i| Reverse((SimTime(rng.gen_range(0..iv)), i)))
+                .collect();
+            // Six laps, stopping between rounds and exactly on one.
+            for k in 0..16 {
+                let Reverse((next_round, _)) = *heap.peek().unwrap();
+                for until in [SimTime(k * iv * 2 / 5), next_round] {
+                    let mut expected = Vec::new();
+                    while let Some(&Reverse((t, i))) = heap.peek() {
+                        if t > until {
+                            break;
+                        }
+                        heap.pop();
+                        heap.push(Reverse((t + interval, i)));
+                        expected.push((t, NodeId(i)));
+                    }
+                    let got: Vec<_> = std::iter::from_fn(|| gossip.pop_round(until)).collect();
+                    assert_eq!(got, expected, "interval {iv} µs, until {until:?}");
+                }
+            }
+        }
     }
 
     #[test]

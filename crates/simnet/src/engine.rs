@@ -12,7 +12,6 @@
 //! `BinaryHeap` kept as a reference implementation. Both pop in the same
 //! total order, so the choice affects wall-clock speed only.
 
-use crate::instrument::EngineTelemetry;
 use crate::sched::{Scheduled, Scheduler, SchedulerKind};
 use crate::time::{SimDuration, SimTime};
 use std::cell::Cell;
@@ -56,21 +55,6 @@ pub struct Engine<W> {
     processed: u64,
     cancelled: u64,
     max_pending: usize,
-    /// Optional live instruments; `None` costs a never-taken branch.
-    telemetry: Option<EngineTelemetry>,
-    /// Counter values already published to telemetry. The hot paths do
-    /// no atomic work at all: [`Engine::flush_telemetry`] publishes
-    /// deltas of the engine's own (plain-integer) counters instead.
-    published: PublishedCounters,
-}
-
-/// Telemetry already flushed, per counter (see [`Engine::flush_telemetry`]).
-#[derive(Default)]
-struct PublishedCounters {
-    scheduled: u64,
-    processed: u64,
-    cancelled: u64,
-    resizes: u64,
 }
 
 impl<W: 'static> Default for Engine<W> {
@@ -106,20 +90,7 @@ impl<W> Engine<W> {
             processed: 0,
             cancelled: 0,
             max_pending: 0,
-            telemetry: None,
-            published: PublishedCounters::default(),
         }
-    }
-
-    /// Attach live telemetry instruments (see [`crate::instrument`]).
-    ///
-    /// Telemetry is write-only from the engine's perspective — it never
-    /// influences scheduling — so the event trajectory is identical
-    /// with or without it. The per-event hot paths carry no record
-    /// sites at all: counters are published as deltas at flush points
-    /// (see [`Engine::flush_telemetry`]).
-    pub fn set_telemetry(&mut self, telemetry: EngineTelemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Name of the scheduler implementation in use.
@@ -197,7 +168,6 @@ impl<W> Engine<W> {
     /// Run events until the queue empties.
     pub fn run(&mut self, world: &mut W) {
         while self.step(world) {}
-        self.flush_telemetry();
     }
 
     /// Run events with timestamps `<= until`; events after the horizon stay
@@ -217,7 +187,6 @@ impl<W> Engine<W> {
         if self.now < until {
             self.now = until;
         }
-        self.flush_telemetry();
     }
 
     /// Execute the next event, if any. Returns false when the queue is
@@ -244,34 +213,6 @@ impl<W> Engine<W> {
         self.processed += 1;
         (ev.handler)(world, self);
         true
-    }
-
-    /// Publish the engine's counters to the attached instruments as
-    /// deltas since the last flush, plus the queue high-water mark and
-    /// the simulated clock. Called automatically when [`run`](Self::run)
-    /// / [`run_until`](Self::run_until) return; callers driving the
-    /// engine with [`step`](Self::step) can call it whenever they want
-    /// an up-to-date exporter view. No-op without attached telemetry.
-    ///
-    /// Publishing at flush points rather than per event keeps the hot
-    /// dispatch loop free of atomic traffic: instrumented and
-    /// uninstrumented engines run the same per-event code.
-    pub fn flush_telemetry(&mut self) {
-        if let Some(t) = &self.telemetry {
-            let resizes = self.queue.resizes();
-            t.scheduled.add(self.seq - self.published.scheduled);
-            t.processed.add(self.processed - self.published.processed);
-            t.cancelled.add(self.cancelled - self.published.cancelled);
-            t.resizes.add(resizes - self.published.resizes);
-            t.queue_depth_max.set_max(self.max_pending as u64);
-            t.clock.set_us(self.now.as_micros());
-            self.published = PublishedCounters {
-                scheduled: self.seq,
-                processed: self.processed,
-                cancelled: self.cancelled,
-                resizes,
-            };
-        }
     }
 }
 

@@ -28,9 +28,10 @@
 //!   latency spikes, relay crash-restarts, stale membership views).
 //! * [`node`] — node identifiers.
 //! * [`trace`] — statistics accumulators used by the evaluation framework.
-//! * [`instrument`] — optional live telemetry wiring for the engine
-//!   (events/s, queue depth, scheduler resizes) on the shared
-//!   `telemetry` registry; write-only, so trajectories are unchanged.
+//!
+//! The engine counts its own work in plain integers
+//! ([`Engine::counters`]); run traces copy those into the experiment
+//! layer's per-run record, so every simulated event is counted once.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -38,7 +39,6 @@
 pub mod churn;
 pub mod engine;
 pub mod fault;
-pub mod instrument;
 pub mod latency;
 pub mod node;
 pub mod sched;
@@ -49,7 +49,6 @@ pub mod trace;
 pub use churn::{ChurnEvent, ChurnSchedule, LifetimeDistribution, Session};
 pub use engine::{Engine, EventHandle};
 pub use fault::{FaultConfig, FaultPlan};
-pub use instrument::EngineTelemetry;
 pub use latency::{Latency, LatencyMatrix, LatencyModel, LatencyRow, ProceduralLatency};
 pub use node::NodeId;
 pub use sched::{BinaryHeapScheduler, CalendarQueue, Scheduler, SchedulerKind};

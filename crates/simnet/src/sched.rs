@@ -128,12 +128,6 @@ pub trait Scheduler<W> {
     }
     /// Human-readable implementation name (reported by the perf harness).
     fn name(&self) -> &'static str;
-    /// How many internal restructurings (e.g. calendar-queue rebuilds)
-    /// this scheduler has performed. Telemetry only; implementations
-    /// without such a notion report 0.
-    fn resizes(&self) -> u64 {
-        0
-    }
 }
 
 /// Reference scheduler: `std::collections::BinaryHeap`, `O(log n)`
@@ -207,8 +201,6 @@ pub struct CalendarQueue<W> {
     bucket_top: u64,
     /// Total pending events.
     len: usize,
-    /// Lifetime count of [`resize`](Self::resize) rebuilds (telemetry).
-    resizes: u64,
 }
 
 impl<W> Default for CalendarQueue<W> {
@@ -220,7 +212,6 @@ impl<W> Default for CalendarQueue<W> {
             cur: 0,
             bucket_top: 1,
             len: 0,
-            resizes: 0,
         }
     }
 }
@@ -250,7 +241,6 @@ impl<W> CalendarQueue<W> {
     /// Rebuild with a bucket count and width fitted to the current
     /// population, then park the cursor on the global minimum.
     fn resize(&mut self) {
-        self.resizes += 1;
         let events: Vec<Scheduled<W>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
         let n = events
             .len()
@@ -340,10 +330,6 @@ impl<W> Scheduler<W> for CalendarQueue<W> {
 
     fn name(&self) -> &'static str {
         "calendar-queue"
-    }
-
-    fn resizes(&self) -> u64 {
-        self.resizes
     }
 }
 

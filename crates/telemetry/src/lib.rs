@@ -17,18 +17,17 @@
 //!   scrapes) ([`registry`]).
 //! * [`export`] — Prometheus text exposition and JSON-lines rendering
 //!   of snapshots.
-//! * [`Clock`] — the only notion of time in the crate: instruments
-//!   never read a clock themselves, so the identical instrument records
-//!   simulated microseconds inside the engine ([`ManualClock`], driven
-//!   from `SimTime`) and monotonic wall-clock microseconds inside the
-//!   TCP transport ([`WallClock`]).
+//! * [`WallClock`] — monotonic microseconds for live export
+//!   timestamps. Instruments never read a clock themselves: callers hand
+//!   them plain numbers, simulated microseconds in the simulator and
+//!   wall-clock microseconds in the TCP transport.
 //!
 //! # Distinction from `core::metrics`
 //!
 //! `anon-core`'s `metrics` module is the *paper evaluation framework*
 //! (§6.1): latency/bandwidth/durability summaries feeding the table and
 //! figure reproductions. This crate is *runtime instrumentation*: what
-//! the system is doing right now — events per second, queue depths,
+//! the system is doing right now — frames per second, queue depths,
 //! retransmits, per-hop latency distributions — exportable live from a
 //! running node. Evaluation metrics answer "how good is the protocol";
 //! telemetry answers "what is the process doing". Do not grow a third
@@ -48,8 +47,8 @@
 //! Recording is one relaxed atomic RMW per observation. Every wiring
 //! point in the workspace holds its instruments behind an `Option`, so
 //! a run without telemetry executes a never-taken branch and touches no
-//! atomics at all — the bench suite's `telemetry` group measures both
-//! sides.
+//! atomics at all — the bench suite's `telemetry` group prices the
+//! histogram record path.
 //!
 //! ```
 //! use telemetry::{Registry, export};
@@ -72,7 +71,7 @@ pub mod export;
 pub mod histogram;
 pub mod registry;
 
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::WallClock;
 pub use counter::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Instrument, Registry, Snapshot, SnapshotValue};

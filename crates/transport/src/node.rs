@@ -520,6 +520,7 @@ impl ProtocolNode {
                                 self.timer_purpose.remove(&token);
                                 out.push(Output::CancelTimer { token });
                             }
+                            self.retries.remove(&(mid, index));
                             // Credit the path the segment last rode with
                             // the round trip it just completed.
                             if let Some((path_sid, sent_at)) = self.inflight.remove(&(mid, index)) {
@@ -616,6 +617,7 @@ impl ProtocolNode {
         let retry = self.retries.entry((mid, index)).or_insert(0);
         *retry += 1;
         if *retry > self.policy.max_retries {
+            self.retries.remove(&(mid, index));
             self.inflight.remove(&(mid, index));
             return;
         }
@@ -688,8 +690,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn completed_message_leaves_the_outbox() {
+    /// Initiator 0 (a (2,3) codec) with one established path through
+    /// relay 1 to auto-acking responder 2.
+    fn one_path_chain() -> Vec<ProtocolNode> {
         let mut keyrng = StdRng::seed_from_u64(5);
         let mut node =
             |i: u32| ProtocolNode::new(NodeId(i), KeyPair::generate(&mut keyrng), u64::from(i));
@@ -707,7 +710,12 @@ mod tests {
         nodes[0].construct_paths(&[hops], &mut out);
         pump(&mut nodes, NodeId(0), out);
         assert_eq!(nodes[0].established_paths(), 1);
+        nodes
+    }
 
+    #[test]
+    fn completed_message_leaves_the_outbox() {
+        let mut nodes = one_path_chain();
         let mid = MessageId(7);
         let mut out = Vec::new();
         nodes[0].send_message(mid, &[0xAB; 300], &mut out).unwrap();
@@ -729,5 +737,45 @@ mod tests {
         nodes[0].handle(0, Input::Timer { token: timers[0] }, &mut late);
         assert!(late.is_empty(), "{late:?}");
         assert_eq!(nodes[0].events.retransmits, 0);
+    }
+
+    #[test]
+    fn retry_state_ends_with_the_ack_or_the_budget() {
+        let mut nodes = one_path_chain();
+        let retry_entries =
+            |node: &ProtocolNode, mid| node.retries.keys().filter(|&&(m, _)| m == mid).count();
+
+        // Segment 0's first transmission is lost; its retransmit is acked.
+        let mid = MessageId(8);
+        let mut out = Vec::new();
+        nodes[0].send_message(mid, &[0xCD; 300], &mut out).unwrap();
+        out.remove(0); // the first send carries segment 0
+        pump(&mut nodes, NodeId(0), out);
+        assert!(!nodes[0].message_complete(mid));
+        let token = nodes[0].pending_acks[&(mid, 0)];
+        let mut retx = Vec::new();
+        nodes[0].handle(0, Input::Timer { token }, &mut retx);
+        assert_eq!(nodes[0].events.retransmits, 1);
+        assert_eq!(retry_entries(&nodes[0], mid), 1);
+        pump(&mut nodes, NodeId(0), retx);
+        assert!(nodes[0].message_complete(mid));
+        assert_eq!(retry_entries(&nodes[0], mid), 0, "ack clears retries");
+
+        // Segment 0 of another message never gets through: every
+        // retransmit is lost until the retry budget runs out.
+        let mid = MessageId(9);
+        let mut out = Vec::new();
+        nodes[0].send_message(mid, &[0xEF; 300], &mut out).unwrap();
+        out.remove(0);
+        pump(&mut nodes, NodeId(0), out);
+        while let Some(&token) = nodes[0].pending_acks.get(&(mid, 0)) {
+            nodes[0].handle(0, Input::Timer { token }, &mut Vec::new());
+        }
+        assert!(!nodes[0].message_complete(mid));
+        assert_eq!(
+            retry_entries(&nodes[0], mid),
+            0,
+            "the budget clears retries"
+        );
     }
 }

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use telemetry::{export, Clock, Registry, WallClock};
+use telemetry::{export, Registry, WallClock};
 
 /// Accept-loop poll interval (also bounds shutdown latency).
 const POLL: Duration = Duration::from_millis(50);
@@ -120,7 +120,10 @@ mod tests {
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        // One write: `write!` would send the pieces separately, and the
+        // server answers whatever its first read returns.
+        let request = format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n");
+        stream.write_all(request.as_bytes()).unwrap();
         let mut reader = std::io::BufReader::new(stream);
         let mut status = String::new();
         reader.read_line(&mut status).unwrap();
